@@ -25,6 +25,7 @@ from repro.engine.scans import TableScan
 from repro import Sort
 from repro import SortSpec
 from repro import ComparisonStats
+from repro import ExecutionConfig
 from repro.workloads.enrollment import make_enrollment_workload
 
 
@@ -62,7 +63,11 @@ def main() -> None:
 
     # --------------------------------------------------- transcripts
     stats = ComparisonStats()
-    reordered = Sort(TableScan(w.enrollments), w.transcript_order, method="auto")
+    # engine="reference" counts the comparisons the re-ordering costs.
+    reordered = Sort(
+        TableScan(w.enrollments), w.transcript_order, method="auto",
+        config=ExecutionConfig(engine="reference"),
+    )
     reordered.stats = stats
     transcripts = MergeJoin(
         TableScan(w.students),

@@ -28,7 +28,9 @@ ORDERS = [
 
 
 def main() -> None:
-    cfg = ExecutionConfig(cache="off")
+    # The reference engine counts comparisons (the default fast engine
+    # produces the same rows and codes without counting).
+    cfg = ExecutionConfig(cache="off", engine="reference")
     source = random_sorted_table(
         SCHEMA, BASE, 20_000, domains=[8, 32, 64, 28], seed=7
     )

@@ -39,8 +39,7 @@ def main() -> None:
     with OrderService(config) as service:
         # --- one-shot convenience -----------------------------------
         resp = service.order_by(table, ("sku", "day"))
-        print(f"one-shot: {len(resp.table.rows)} rows via {resp.label}, "
-              f"{resp.stats.row_comparisons} row comparisons")
+        print(f"one-shot: {len(resp.table.rows)} rows via {resp.label}")
 
         # --- a burst of duplicate requests from many threads --------
         orders = [SortSpec.of("sku", "day"), SortSpec.of("day", "region")]

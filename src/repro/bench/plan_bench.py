@@ -10,7 +10,9 @@ serving layer's pre-planner behavior), then the same batch through
 :func:`repro.plan.derive_batch` (planning overhead included), and
 verifies every planned output bit-identical to its solo run — rows and
 codes always, comparison counters too for nodes derived straight from
-the source.
+the source.  The timed sweep runs on the instrumented reference engine
+(counters are collected only on request); an untimed batch on the
+caller's configuration checks rows and codes on the default engine.
 
 The committed artifact is ``BENCH_plan.json``; the CI gate requires
 ``fidelity_ok`` always and, at the committed scale (>= 2^16 rows), a
@@ -77,8 +79,16 @@ def run_plan_trajectory(
     batch_sizes: tuple = (4, 8, 16),
     config: ExecutionConfig | None = None,
 ) -> dict:
-    """The full sweep; returns the JSON-ready record."""
+    """The full sweep; returns the JSON-ready record.
+
+    The timed sweep runs on the reference engine: the planner's claim
+    is its comparison economics, which only that engine counts, and the
+    committed record was taken there.  Source-derived nodes must count
+    exactly what their solo runs count.  An untimed batch on ``config``
+    itself (the default engine) must match the solo rows and codes too.
+    """
     cfg = config if config is not None else ExecutionConfig(cache="off")
+    timed = cfg.with_(engine="reference")
     table = random_table(
         _SCHEMA, n_rows,
         domains=[_DOMAINS[c] for c in _SCHEMA.columns],
@@ -93,29 +103,33 @@ def run_plan_trajectory(
         orders = related_orders(_SCHEMA.columns, k)
 
         begin = time.perf_counter()
-        references = [_solo(source, spec, cfg) for spec in orders]
+        references = [_solo(source, spec, timed) for spec in orders]
         wall_independent = time.perf_counter() - begin
 
         begin = time.perf_counter()
-        result = derive_batch(source, orders, config=cfg)
+        result = derive_batch(source, orders, config=timed)
         wall_planned = time.perf_counter() - begin
 
+        default = derive_batch(source, orders, config=cfg)
         for spec, (ref_table, ref_stats) in zip(orders, references):
-            node = result.result_for(spec)
             label = ",".join(str(c) for c in spec.columns)
-            if node.table.rows != ref_table.rows:
-                fidelity_problems.append(
-                    f"batch {k}, order {label}: rows diverged"
-                )
-            if node.table.ovcs != ref_table.ovcs:
-                fidelity_problems.append(
-                    f"batch {k}, order {label}: codes diverged"
-                )
+            for engine, batch in (("reference", result), ("default", default)):
+                node = batch.result_for(spec)
+                if node.table.rows != ref_table.rows:
+                    fidelity_problems.append(
+                        f"batch {k}, order {label}: rows diverged"
+                        f" ({engine} engine)"
+                    )
+                if node.table.ovcs != ref_table.ovcs:
+                    fidelity_problems.append(
+                        f"batch {k}, order {label}: codes diverged"
+                        f" ({engine} engine)"
+                    )
             parent = result.plan.nodes[result.plan.nodes[
                 result.plan.spec_nodes[spec]].parent]
             if (
                 parent.kind == "source"
-                and node.stats_delta.as_dict() != ref_stats
+                and result.result_for(spec).stats_delta.as_dict() != ref_stats
             ):
                 fidelity_problems.append(
                     f"batch {k}, order {label}: source-derived counters"
@@ -142,6 +156,7 @@ def run_plan_trajectory(
         "n_rows": n_rows,
         "seed": seed,
         "python": platform.python_version(),
+        "engine": timed.engine,
         "batch_sizes": list(batch_sizes),
         "cells": cells,
         "min_speedup": round(min(speedups), 3) if speedups else 0.0,

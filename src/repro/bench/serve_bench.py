@@ -20,7 +20,9 @@ The record carries:
   under the duplicate-heavy load;
 * **fidelity_ok** — one served response per order compared field by
   field (rows, offset-value codes, comparison counters) against a
-  serial uncached :class:`~repro.engine.sort_op.Sort`.
+  serial uncached :class:`~repro.engine.sort_op.Sort`.  Rows and codes
+  are compared on the configured engine; counters are collected only on
+  request, so their parity check runs on ``engine="reference"``.
 
 ``check_serve_record`` returns the CI-gate findings; the CLI
 (``python -m repro bench --serve``) exits non-zero on any.
@@ -42,9 +44,12 @@ _SCHEMA = Schema.of("A", "B", "C", "D")
 _DOMAINS = {"A": 32, "B": 64, "C": 256, "D": 8}
 
 
-def _serial_reference(table: Table, spec: SortSpec) -> tuple:
+def _serial_reference(table: Table, spec: SortSpec, engine: str) -> tuple:
     """(rows, ovcs, stats) of a solo uncached execution — the contract."""
-    op = Sort(TableScan(table), spec, config=ExecutionConfig(cache="off"))
+    op = Sort(
+        TableScan(table), spec,
+        config=ExecutionConfig(cache="off", engine=engine),
+    )
     out = op.to_table()
     return out.rows, out.ovcs, op.stats.as_dict()
 
@@ -62,11 +67,15 @@ def verify_fidelity(
     (``check_stats=True``): a warm order cache legitimately replays the
     counters of the (possibly cheaper modify-from-cache) execution that
     installed the entry — exactly what a direct ``order_by`` against
-    the same warm cache would report.
+    the same warm cache would report.  Counters are collected only on
+    request, so ``check_stats`` compares against a reference-engine
+    run and needs a service configured with ``engine="reference"``.
     """
     problems = []
     for spec in orders:
-        rows, ovcs, stats = _serial_reference(table, spec)
+        rows, ovcs, stats = _serial_reference(
+            table, spec, "reference" if check_stats else "auto"
+        )
         resp = service.order_by(table, spec)
         label = ",".join(str(c) for c in spec.columns)
         if resp.table.rows != rows:
@@ -111,14 +120,20 @@ def run_serve_trajectory(
             # (the counters are the installing execution's replay —
             # see verify_fidelity).
             fidelity_problems = verify_fidelity(
-                service, table, orders, check_stats=cfg.cache == "off"
+                service, table, orders, check_stats=False
             )
-        # Uncached-path fidelity: the full bit-identity contract,
-        # counters included, through a service that cannot be
-        # cache-assisted.
+        # Uncached-path fidelity through services that cannot be
+        # cache-assisted: rows and codes on the configured engine, and
+        # the full contract, counters included, on the reference
+        # engine (the only one that collects them).
         if cfg.cache != "off":
             with OrderService(cfg.with_(cache="off")) as bare:
-                fidelity_problems += verify_fidelity(bare, table, orders)
+                fidelity_problems += verify_fidelity(
+                    bare, table, orders, check_stats=False
+                )
+        counted_cfg = cfg.with_(cache="off", engine="reference")
+        with OrderService(counted_cfg) as counted:
+            fidelity_problems += verify_fidelity(counted, table, orders)
         # Batched phase: the same load through the micro-batching
         # planner path against a fresh cache, for latency deltas.
         # Rows and codes stay bit-identical; counters describe the

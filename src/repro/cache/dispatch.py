@@ -10,7 +10,9 @@ order, :func:`serve` decides between three outcomes:
   engine's instrumentation deterministic — a plan reads the same with
   and without the cache whenever the entry was produced by an
   uncached-identical execution — while the actually avoided work is
-  published as ``cache.comparisons_saved``.
+  published as ``cache.comparisons_saved``.  Entries produced by the
+  fast engine (the default) recorded no counters, so their hits
+  replay an empty delta and add nothing to ``cache.comparisons_saved``.
 * **Modify from the best cached order** — the requested order is not
   cached, but sibling orders of the same multiset are: each candidate
   is priced with :meth:`repro.core.cost.CostModel.modify_from` (segment
@@ -61,6 +63,8 @@ class ServeOutcome:
     table: Table | None = None
     #: ``"cache-hit(<order>)"`` or ``"modify-from-cache(<order>)"``.
     label: str | None = None
+    #: Engine that ran a modify-from-cache serve (``None`` on a hit).
+    engine: str | None = None
 
 
 def _names(spec: SortSpec) -> str:
@@ -163,7 +167,9 @@ def serve(
             )
         return outcome
 
-    result = _modify_from(cache, fp, source, chosen, spec, stats, config)
+    result, outcome.engine = _modify_from(
+        cache, fp, source, chosen, spec, stats, config
+    )
     if result is None:
         if LOG.enabled:
             LOG.event(
@@ -191,10 +197,12 @@ def _modify_from(
     spec: SortSpec,
     stats: ComparisonStats,
     config: ExecutionConfig,
-) -> Table | None:
-    """Produce ``spec`` from a cached sibling order; ``None`` on failure
-    (counters rolled back, caller falls through to cold execution)."""
-    from ..core.modify import modify_sort_order
+) -> tuple[Table | None, str | None]:
+    """Produce ``spec`` from a cached sibling order, plus the engine
+    that ran; ``(None, None)`` on failure (counters rolled back, caller
+    falls through to cold execution).  Counters are collected only when
+    the engine rule picks the reference engine."""
+    from ..core.modify import modify_with_engine
 
     before = stats.snapshot()
     try:
@@ -204,30 +212,31 @@ def _modify_from(
             source=_names(chosen.spec),
             target=_names(spec),
         ):
-            result = modify_sort_order(
-                chosen.as_table(source.schema), spec,
-                method="auto", use_ovc=True, stats=stats, config=config,
+            result, engine = modify_with_engine(
+                chosen.as_table(source.schema), spec, "auto", True,
+                stats, config,
             )
             rows, ovcs = _retiebreak(
                 result.rows, result.ovcs, spec.arity, source.rows
             )
             result = Table(source.schema, rows, spec, ovcs)
     except (TypeError, IndexError):
-        # TypeError: a forced fast engine met unpackable keys.
+        # TypeError: a forced fast engine met unpackable keys, or the
+        # reference executors met keys they cannot compare.
         # IndexError: the tie-break found a row missing from the live
         # source — a fingerprint collision delivered foreign data.
         # Either way the cold path is the answer; undo the partial
         # counter damage.
         stats.reset()
         stats.merge(before)
-        return None
+        return None, None
     if METRICS.enabled:
         METRICS.counter("cache.modify_serves").inc()
     cache.install(
         fp, spec, result.rows, result.ovcs, stats - before,
         replayable=False, nbytes=chosen.nbytes,
     )
-    return result
+    return result, engine
 
 
 def install_result(

@@ -34,7 +34,7 @@ from typing import Sequence
 
 from ..exec.buffers import GovernedSink
 from ..exec.compat import resolve_config
-from ..exec.config import ExecutionConfig
+from ..exec.config import ExecutionConfig, resolve_engine
 from ..exec.memory import MemoryAccountant, activate
 from ..exec.spill import SpillManager
 from ..model import SortSpec, Table
@@ -76,8 +76,9 @@ def modify_sort_order_external(
     same rows and codes, no comparison counts.  Oversized segments
     always take the reference path: spill accounting and capped merge
     waves are the point of this function, and the fast kernels do not
-    model them.  ``auto`` keeps everything on the instrumented
-    reference path.
+    model them.  This function always collects comparison counters,
+    so ``auto`` resolves to the instrumented reference path under the
+    one engine rule (:func:`repro.exec.config.resolve_engine`).
 
     ``config.workers`` shards the segment loop across processes
     (:mod:`repro.parallel`) when *every* segment fits in memory — the
@@ -112,10 +113,7 @@ def modify_sort_order_external(
         # delegate wholesale (modify_sort_order applies the governance
         # itself, so no double activation here).
         return modify_sort_order(
-            table, new_spec, method=method, stats=stats,
-            config=cfg.with_(
-                engine="fast" if cfg.engine == "fast" else "reference"
-            ),
+            table, new_spec, method=method, stats=stats, config=cfg
         )
 
     if not cfg.governed:
@@ -172,6 +170,11 @@ def _modify_external(
     rows, ovcs = table.rows, table.ovcs
     out_rows: list[tuple] = []
     out_ovcs: list[tuple] = []
+    # This function always collects counters (``stats`` is never None),
+    # so ``auto`` resolves to the reference executors.
+    use_fast = resolve_engine(
+        cfg.engine, max_fan_in=cfg.max_fan_in, counters=True
+    ) == "fast"
 
     use_merge = plan.strategy in (Strategy.COMBINED, Strategy.MERGE_RUNS) and (
         method in ("auto", "combined", "merge_runs")
@@ -190,10 +193,7 @@ def _modify_external(
             )
             result = parallel_modify(
                 table, new_spec, plan, exec_strategy, cfg.workers,
-                stats=stats, segments=segments, sink=sink,
-                config=cfg.with_(
-                    engine="fast" if cfg.engine == "fast" else "reference"
-                ),
+                stats=stats, segments=segments, sink=sink, config=cfg,
             )
             if result is not None:
                 return result
@@ -203,7 +203,7 @@ def _modify_external(
         seg_rows: list[tuple] = out_rows if sink is None else []
         seg_ovcs: list[tuple] = out_ovcs if sink is None else []
         if size <= memory_capacity:
-            if cfg.engine == "fast":
+            if use_fast:
                 from ..fastpath.execute import fast_segment
 
                 if use_merge:

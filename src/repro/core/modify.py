@@ -40,13 +40,14 @@ from typing import Sequence
 
 from ..exec.buffers import GovernedSink
 from ..exec.compat import resolve_config
-from ..exec.config import ExecutionConfig
+from ..exec.config import ExecutionConfig, resolve_engine
 from ..exec.memory import MemoryAccountant, activate
 from ..exec.spill import SpillManager
-from ..model import SortSpec, Table
+from ..model import Schema, SortSpec, Table
 from ..obs import LOG, METRICS, SLOWLOG, TRACER
 from ..ovc.derive import project_ovcs
 from ..ovc.stats import ComparisonStats
+from ..sorting.internal import tournament_sort
 from ..sorting.merge import _key_projector
 from .analysis import ModificationPlan, Strategy, analyze_order_modification
 from .classify import split_segments
@@ -85,20 +86,26 @@ def modify_sort_order(
     model.  Stable strategies preserve the input order among rows equal
     under the new key.
 
+    Passing ``stats`` asks for the paper's comparison counters: they
+    are collected into it by the instrumented reference executors.
+
     ``config`` governs execution (see :class:`repro.exec.
     ExecutionConfig`); when omitted, the environment-aware default
     applies.  Its fields:
 
     * ``engine`` — ``reference`` (instrumented), ``fast`` (packed-code
-      kernels, bit-identical output, no counters), or ``auto`` — fast
-      exactly when no ``stats`` collector was passed, ``use_ovc`` is
-      set, and no fan-in cap is configured.  A forced ``fast`` engine
-      leaves any passed ``stats`` untouched and executes a fan-in cap
-      as a single-wave merge.  With ``engine="auto"``, key columns the
-      packed codec cannot rank (mixed value types, ``None``) fall back
-      to the reference executors — reusing the already-computed segment
-      boundaries, so classification runs exactly once per call; a
-      forced ``fast`` engine propagates the ``TypeError``.
+      kernels, bit-identical output, no counters), or ``auto``, which
+      follows the one rule of :func:`repro.exec.config.resolve_engine`:
+      fast exactly when ``use_ovc`` is set, no fan-in cap is
+      configured, and no ``stats`` collector was passed.  A forced
+      ``fast`` engine leaves any passed ``stats`` untouched and
+      executes a fan-in cap as a single-wave merge.  With
+      ``engine="auto"``, key columns the packed codec cannot rank
+      (mixed value types, ``None``) fall back to the reference
+      executors — reusing the already-computed segment boundaries, so
+      classification runs exactly once per call; a forced ``fast``
+      engine propagates the ``TypeError``.  The engine that actually
+      ran is recorded on the ``modify`` span and the slow-query record.
     * ``workers`` — shards segment-parallel strategies across processes
       (:mod:`repro.parallel`) with the config's retry/timeout policy;
       output stays bit-identical, and tiny inputs, single-segment jobs,
@@ -130,16 +137,19 @@ def modify_sort_order(
             engine=cfg.engine,
             use_ovc=use_ovc,
             governed=cfg.governed,
-        ):
+        ) as span:
             if not cfg.governed:
-                result = _modify(table, new_spec, method, use_ovc, stats, cfg, None)
+                result, engine = _modify(
+                    table, new_spec, method, use_ovc, stats, cfg, None
+                )
             else:
                 accountant = MemoryAccountant(cfg.memory_budget)
                 with SpillManager(cfg.spill_dir) as spill, activate(accountant):
                     sink = GovernedSink(accountant, spill)
-                    result = _modify(
+                    result, engine = _modify(
                         table, new_spec, method, use_ovc, stats, cfg, sink
                     )
+            span.set(engine_ran=engine)
         if mark is not None:
             # Slow path only: the structural strategy is a cheap pure
             # function of the two specs.
@@ -149,9 +159,48 @@ def modify_sort_order(
                 strategy = plan.strategy.name.lower()
             SLOWLOG.record(
                 mark, "modify", strategy=strategy, stats=stats,
-                rows=len(table.rows),
+                rows=len(table.rows), engine=engine,
             )
         return result
+
+
+def modify_with_engine(
+    table: Table,
+    new_spec: SortSpec,
+    method: str,
+    use_ovc: bool,
+    stats: ComparisonStats,
+    cfg: ExecutionConfig,
+) -> tuple[Table, str]:
+    """Order modification for the layers above — ``Sort``, the plan
+    executor, the order cache — plus the engine that ran: ``"fast"``,
+    ``"reference"`` or ``"reference-fallback"``.
+
+    ``stats`` is the layer's own counter set.  It is counted into only
+    when the engine rule picks the reference engine (``engine=
+    "reference"``, no codes, a fan-in cap); a layer's ``auto`` does not
+    ask for counters.  Where ``auto`` resolved to the fast engine and
+    the packed codec cannot rank the keys, the modification reruns on
+    the reference executors, uncounted.
+    """
+    engine = resolve_engine(
+        cfg.engine, use_ovc=use_ovc, max_fan_in=cfg.max_fan_in
+    )
+    if engine == "reference":
+        return modify_sort_order(
+            table, new_spec, method, use_ovc, stats, cfg
+        ), engine
+    try:
+        return modify_sort_order(
+            table, new_spec, method, use_ovc, None, cfg.with_(engine="fast")
+        ), engine
+    except TypeError:
+        if cfg.engine == "fast":
+            raise
+    return modify_sort_order(
+        table, new_spec, method, use_ovc, None,
+        cfg.with_(engine="reference"),
+    ), "reference-fallback"
 
 
 def _modify(
@@ -162,11 +211,11 @@ def _modify(
     stats: ComparisonStats | None,
     cfg: ExecutionConfig,
     sink: GovernedSink | None,
-) -> Table:
+) -> tuple[Table, str]:
     plan = analyze_order_modification(table.sort_spec, new_spec)
-    max_fan_in = cfg.max_fan_in
-    use_fast = cfg.engine == "fast" or (
-        cfg.engine == "auto" and use_ovc and stats is None and max_fan_in is None
+    engine = resolve_engine(
+        cfg.engine, use_ovc=use_ovc, max_fan_in=cfg.max_fan_in,
+        counters=stats is not None,
     )
     caller_stats = stats
     stats = stats if stats is not None else ComparisonStats()
@@ -205,10 +254,6 @@ def _modify(
             merge_len=plan.merge_len,
         )
 
-    rows, ovcs = table.rows, table.ovcs
-    n = len(rows)
-    out_positions = new_spec.positions(table.schema)
-    out_project = _key_projector(out_positions, new_spec.directions)
     in_positions = table.sort_spec.positions(table.schema)
     in_project = _key_projector(in_positions, table.sort_spec.directions)
 
@@ -228,16 +273,16 @@ def _modify(
             stats=caller_stats, config=cfg, segments=boundaries, sink=sink,
         )
         if result is not None:
-            return result
+            return result, engine
 
-    if use_fast:
+    if engine == "fast":
         from ..fastpath.execute import fast_modify
 
         try:
             return fast_modify(
                 table, new_spec, plan, strategy,
                 segments=boundaries, sink=sink,
-            )
+            ), engine
         except TypeError:
             if cfg.engine == "fast":
                 raise
@@ -246,7 +291,31 @@ def _modify(
             # executors below compare only values that actually meet in
             # a tournament, so they can still succeed — on the segment
             # boundaries already computed above.
+            engine = "reference-fallback"
 
+    return _reference(
+        table, new_spec, plan, strategy, boundaries, in_project,
+        use_ovc, stats, cfg.max_fan_in, sink,
+    ), engine
+
+
+def _reference(
+    table: Table,
+    new_spec: SortSpec,
+    plan: ModificationPlan,
+    strategy: Strategy,
+    boundaries: list[tuple[int, int]] | None,
+    in_project,
+    use_ovc: bool,
+    stats: ComparisonStats,
+    max_fan_in: int | None,
+    sink: GovernedSink | None,
+) -> Table:
+    """Execute ``strategy`` on the instrumented reference executors."""
+    rows, ovcs = table.rows, table.ovcs
+    n = len(rows)
+    out_positions = new_spec.positions(table.schema)
+    out_project = _key_projector(out_positions, new_spec.directions)
     out_rows: list[tuple] = []
     out_ovcs: list[tuple] | None = [] if use_ovc else None
 
@@ -330,6 +399,43 @@ def _modify(
     if sink is not None:
         out_rows, out_ovcs = _materialized(sink, use_ovc)
     return Table(table.schema, out_rows, new_spec, out_ovcs)
+
+
+def sort_rows(
+    rows: list[tuple],
+    spec: SortSpec,
+    schema: Schema,
+    stats: ComparisonStats,
+    cfg: ExecutionConfig,
+    use_ovc: bool = True,
+) -> tuple[list[tuple], list[tuple] | None, str]:
+    """Sort unordered ``rows`` on ``spec`` from scratch.
+
+    The full-sort twin of :func:`modify_with_engine`, under the same engine
+    rule: the fast engine's :func:`~repro.fastpath.execute.fast_sort`
+    or the reference tournament sort, which counts into ``stats``.
+    Returns the sorted rows, their codes (``None`` without ``use_ovc``)
+    and the engine that ran.
+    """
+    positions = spec.positions(schema)
+    engine = resolve_engine(
+        cfg.engine, use_ovc=use_ovc, max_fan_in=cfg.max_fan_in
+    )
+    if engine == "fast":
+        from ..fastpath.execute import fast_sort
+
+        try:
+            sorted_rows, ovcs = fast_sort(rows, positions, spec.directions)
+            return sorted_rows, ovcs, engine
+        except TypeError:
+            if cfg.engine == "fast":
+                raise
+        # Counters were not asked for; the fallback does not count.
+        stats, engine = ComparisonStats(), "reference-fallback"
+    sorted_rows, ovcs = tournament_sort(
+        rows, positions, stats, spec.directions, use_ovc
+    )
+    return sorted_rows, ovcs, engine
 
 
 def _materialized(sink, use_ovc):

@@ -15,8 +15,10 @@ segment and this operator degenerates to the materializing path.
 ``config.engine == "fast"`` flushes each buffered segment through the
 packed-code kernels (:func:`repro.fastpath.execute.fast_segment`)
 instead of the instrumented executors: same rows and codes, no
-comparison counts.  ``auto`` keeps the reference path — a streaming
-operator's counters are part of its contract.
+comparison counts.  A streaming operator always collects its counters,
+so under the one engine rule
+(:func:`repro.exec.config.resolve_engine`) ``auto`` resolves to the
+reference path.
 
 ``config.workers`` pipelines segment execution across worker processes
 while preserving the streaming contract: consecutive segments are
@@ -36,7 +38,7 @@ from ..core.merge_runs import merge_preexisting_runs
 from ..core.segmented import sort_segment
 from ..exec import faults as faults_mod
 from ..exec.compat import resolve_config
-from ..exec.config import ExecutionConfig
+from ..exec.config import ExecutionConfig, resolve_engine
 from ..model import SortSpec
 from ..obs import METRICS, TRACER
 from ..ovc.derive import project_ovcs
@@ -65,7 +67,7 @@ class StreamingModify(Operator):
         self._config = resolve_config(config, "StreamingModify", **legacy)
         self._child = child
         self._spec = spec
-        self._engine = self._config.engine
+        self._engine = resolve_engine(self._config.engine, counters=True)
         self._workers = self._config.workers
         self._shard_rows = shard_rows
         self.plan: ModificationPlan = analyze_order_modification(

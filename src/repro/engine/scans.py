@@ -34,6 +34,12 @@ class TableScan(Operator):
         else:
             yield from zip(table.rows, table.ovcs)
 
+    def to_table(self) -> Table:
+        """A table over the scanned lists, without re-collecting rows."""
+        table = self._table
+        ovcs = table.ovcs if table.sort_spec is not None else None
+        return Table(table.schema, table.rows, table.sort_spec, ovcs)
+
     def _explain_detail(self) -> str:
         return f"({len(self._table)} rows)" + super()._explain_detail()
 

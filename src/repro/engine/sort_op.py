@@ -8,17 +8,22 @@ paper's machinery:
   re-coding onto the shorter key);
 * related order -> :func:`repro.core.modify.modify_sort_order`
   (segmented sorting / merging pre-existing runs / combined);
-* unordered child -> internal tournament sort, or external merge sort
-  when a memory budget is configured and exceeded.
+* unordered child -> internal full sort, or external merge sort when a
+  memory budget is configured and exceeded.
 
 An :class:`~repro.exec.ExecutionConfig` selects how the in-memory
-paths execute.  ``config.engine``: ``auto`` keeps the instrumented
-reference executors (an operator's comparison counters are part of its
-contract, so ``auto`` here means "reference"); ``fast`` routes order
-modification and the internal sort through the packed-code kernels of
-:mod:`repro.fastpath` — bit-identical rows and codes, counters left
-untouched.  The external merge sort has no fast twin (spill accounting
-is its point) and always runs the reference path.
+paths execute.  ``config.engine`` follows the one rule of
+:func:`repro.exec.config.resolve_engine` on both the modify path and
+the full-sort path: ``auto`` runs the packed-code kernels of
+:mod:`repro.fastpath` whenever codes are in use and no fan-in cap is
+set (falling back to the reference executors, uncounted, on keys the
+codec cannot pack); ``fast`` forces them; ``reference`` runs the
+instrumented executors and is how an operator's comparison counters
+(:attr:`stats`) are asked for — on the fast engine they stay zero.
+The engine that ran is kept in :attr:`Sort.engine_ran` and reported on
+the ``sort.executed`` log event and the slow-query record.  The
+external merge sort has no fast twin (spill accounting is its point)
+and always runs the reference path.
 
 ``config.workers`` forwards to the order-modification path's parallel
 subsystem (:mod:`repro.parallel`): segment-parallel strategies shard
@@ -32,15 +37,19 @@ deprecation release and now raise ``TypeError``.
 ``config.cache`` plugs the operator into the order cache
 (:mod:`repro.cache`): before sorting, the cache is consulted for this
 exact (source rows, order) pair — a hit serves the cached rows and
-codes verbatim (recorded comparison counters replayed) — or for a
-*related* cached order that the cost model prices cheaper to modify
-than the uncached execution; either way the served output is
-bit-identical to an uncached run.  Every executed sort installs its
-output for future requests.  The strategy actually used is recorded in
+codes verbatim (recorded comparison counters replayed; entries the
+fast engine produced recorded none) — or for a *related* cached order
+that the cost model prices cheaper to modify than the uncached
+execution; either way the served output is bit-identical to an
+uncached run.  Every executed sort installs its output for future
+requests.  The strategy actually used is recorded in
 :attr:`Sort.order_strategy` and shown by ``EXPLAIN`` after execution
 (``full-sort``, ``modify(<order>)``, ``cache-hit(<order>)``,
 ``modify-from-cache(<order>)``, ...).  The cache engages only on the
 in-memory ``method="auto"`` + ``use_ovc`` paths.
+
+:meth:`Sort.to_table` returns the sorted table directly instead of
+re-collecting the emitted stream.
 """
 
 from __future__ import annotations
@@ -51,9 +60,8 @@ from ..exec.compat import resolve_config
 from ..exec.config import ExecutionConfig
 from ..model import SortSpec, Table
 from ..obs import LOG, SLOWLOG
-from ..core.modify import modify_sort_order
+from ..core.modify import modify_with_engine, sort_rows
 from ..sorting.external import ExternalMergeSort
-from ..sorting.internal import tournament_sort
 from .operators import Operator
 
 
@@ -83,13 +91,15 @@ class Sort(Operator):
         self._use_ovc = use_ovc
         self._memory_capacity = memory_capacity
         self._fan_in = fan_in
-        self._engine = self._config.engine
         #: Strategy actually executed, for tests and EXPLAIN output.
         self.executed: str | None = None
         #: Human-readable order strategy for EXPLAIN: ``passthrough``,
         #: ``full-sort``, ``external-sort``, ``modify(<order>)``,
         #: ``cache-hit(<order>)``, or ``modify-from-cache(<order>)``.
         self.order_strategy: str | None = None
+        #: Engine that ran: ``fast``, ``reference`` or
+        #: ``reference-fallback``; ``None`` for passthrough and cache hits.
+        self.engine_ran: str | None = None
         #: Fingerprint of the source rows when the cache was consulted.
         self._cache_fp = None
 
@@ -125,6 +135,7 @@ class Sort(Operator):
             return None
         self.executed = "cache"
         self.order_strategy = outcome.label
+        self.engine_ran = outcome.engine
         return outcome.table
 
     def _install(self, cache, result: Table, delta) -> None:
@@ -147,19 +158,23 @@ class Sort(Operator):
                 "sort.executed",
                 executed=self.executed,
                 strategy=self.order_strategy,
+                engine=self.engine_ran,
             )
         SLOWLOG.record(
             mark, "sort", strategy=self.order_strategy,
-            stats=self.stats - before,
+            stats=self.stats - before, engine=self.engine_ran,
         )
 
+    def _passthrough(self) -> bool:
+        ordering = self._child.ordering
+        return ordering is not None and ordering.satisfies(self._spec)
+
     def __iter__(self) -> Iterator[tuple[tuple, tuple | None]]:
-        child = self._child
-        if child.ordering is not None and child.ordering.satisfies(self._spec):
+        if self._passthrough():
             self.executed = "passthrough"
             self.order_strategy = "passthrough"
             arity = self._spec.arity
-            for row, ovc in child:
+            for row, ovc in self._child:
                 if ovc is None:
                     yield row, None
                 elif ovc[0] >= arity:
@@ -167,38 +182,47 @@ class Sort(Operator):
                 else:
                     yield row, ovc
             return
+        yield from _emit(self._execute())
 
+    def to_table(self) -> Table:
+        if self._passthrough():
+            return super().to_table()
+        table = self._execute()
+        if self._config.cache != "off" and table.ovcs is not None:
+            # The lists may be shared with an order-cache entry; hand
+            # the caller its own.
+            table = Table(
+                table.schema, list(table.rows), table.sort_spec,
+                list(table.ovcs),
+            )
+        return table
+
+    def _execute(self) -> Table:
+        """Run the non-passthrough sort and return its output table."""
+        child = self._child
         mark = SLOWLOG.mark()
-        mark_before = self.stats.snapshot()
+        before = self.stats.snapshot()
         cache = self._cache()
+        cfg = self._config
 
         if child.ordering is not None:
             table = child.to_table()
             if cache is not None and table.ovcs is not None:
                 served = self._serve(cache, table)
                 if served is not None:
-                    self._observe(mark, mark_before)
-                    yield from _emit(served)
-                    return
-            before = self.stats.snapshot()
-            result = modify_sort_order(
-                table,
-                self._spec,
-                method=self._method,
-                use_ovc=self._use_ovc and table.ovcs is not None,
-                stats=self.stats,
-                config=self._config.with_(
-                    engine="fast" if self._engine == "fast" else "reference"
-                ),
+                    self._observe(mark, before)
+                    return served
+            result, self.engine_ran = modify_with_engine(
+                table, self._spec, self._method,
+                self._use_ovc and table.ovcs is not None, self.stats, cfg,
             )
             self.executed = "modify_sort_order"
             self.order_strategy = (
                 f"modify({','.join(str(c) for c in child.ordering)})"
             )
             self._install(cache, result, self.stats - before)
-            self._observe(mark, mark_before)
-            yield from _emit(result)
-            return
+            self._observe(mark, before)
+            return result
 
         rows = [row for row, _ovc in child]
         if (
@@ -215,59 +239,26 @@ class Sort(Operator):
             result = sorter.sort(rows)
             self.executed = "external_sort"
             self.order_strategy = "external-sort"
+            self.engine_ran = "reference"
             self.stats.merge(result.total_stats)
-            self._observe(mark, mark_before)
-            yield from zip(result.rows, result.ovcs or (None,) * len(result.rows))
-            return
+            self._observe(mark, before)
+            return Table(self.schema, result.rows, self._spec, result.ovcs)
 
         if cache is not None:
             served = self._serve(cache, Table(self.schema, rows))
             if served is not None:
-                self._observe(mark, mark_before)
-                yield from _emit(served)
-                return
+                self._observe(mark, before)
+                return served
 
-        if self._engine == "fast":
-            from ..fastpath.execute import fast_sort
-
-            sorted_rows, ovcs = fast_sort(
-                rows, self._spec.positions(self.schema), self._spec.directions
-            )
-            self.executed = "internal_sort"
-            self.order_strategy = "full-sort"
-            from ..ovc.stats import ComparisonStats
-
-            self._install(
-                cache,
-                Table(self.schema, sorted_rows, self._spec, ovcs),
-                ComparisonStats(),
-            )
-            self._observe(mark, mark_before)
-            yield from zip(sorted_rows, ovcs)
-            return
-
-        before = self.stats.snapshot()
-        sorted_rows, ovcs = tournament_sort(
-            rows,
-            self._spec.positions(self.schema),
-            self.stats,
-            self._spec.directions,
-            self._use_ovc,
+        sorted_rows, ovcs, self.engine_ran = sort_rows(
+            rows, self._spec, self.schema, self.stats, cfg, self._use_ovc
         )
         self.executed = "internal_sort"
         self.order_strategy = "full-sort"
-        if ovcs is not None:
-            self._install(
-                cache,
-                Table(self.schema, sorted_rows, self._spec, ovcs),
-                self.stats - before,
-            )
-        self._observe(mark, mark_before)
-        if ovcs is None:
-            for row in sorted_rows:
-                yield row, None
-        else:
-            yield from zip(sorted_rows, ovcs)
+        result = Table(self.schema, sorted_rows, self._spec, ovcs)
+        self._install(cache, result, self.stats - before)
+        self._observe(mark, before)
+        return result
 
     def _children(self) -> list[Operator]:
         return [self._child]

@@ -102,6 +102,38 @@ class RetryPolicy:
             raise ValueError(f"retries must be non-negative, got {self.retries}")
 
 
+def resolve_engine(
+    engine: str,
+    *,
+    use_ovc: bool = True,
+    max_fan_in: int | None = None,
+    counters: bool = False,
+) -> str:
+    """The one meaning of ``engine="auto"``: ``"fast"`` or ``"reference"``.
+
+    Forced engines pass through.  ``auto`` runs the packed-code fast
+    engine whenever offset-value codes are in use, no merge fan-in cap
+    is set, and the caller did not ask for comparison ``counters``;
+    otherwise it runs the instrumented reference executors.  Callers
+    ask for counters with ``engine="reference"`` or by passing an
+    explicit ``stats=`` to ``modify_sort_order``.
+
+    Every layer (``modify_sort_order``, ``Sort``, the batch planner's
+    executor, the order cache and, through ``Sort``, ``OrderService``)
+    resolves ``auto`` here.  Where ``auto`` resolved to ``fast`` and the
+    packed codec cannot rank the keys (a ``TypeError``: mixed types or
+    ``None`` in a key column), the caller reruns on the reference
+    executors without counting and reports the engine that ran as
+    ``"reference-fallback"``; a forced ``fast`` engine propagates the
+    error.
+    """
+    if engine != "auto":
+        return engine
+    if use_ovc and max_fan_in is None and not counters:
+        return "fast"
+    return "reference"
+
+
 @dataclass(frozen=True)
 class ExecutionConfig:
     """Every execution knob of the engine, as one frozen value.
@@ -109,8 +141,11 @@ class ExecutionConfig:
     Fields
     ------
     engine:
-        ``"auto"`` | ``"reference"`` | ``"fast"`` — executor selection,
-        exactly as the old ``engine=`` kwarg.
+        ``"auto"`` | ``"reference"`` | ``"fast"`` — executor selection.
+        ``"reference"`` runs the instrumented executors and collects
+        comparison counters; ``"fast"`` runs the packed-code kernels
+        (bit-identical rows and codes, no counters); ``"auto"`` means
+        what :func:`resolve_engine` says, on every layer.
     workers:
         ``None``/``0``/``1`` serial, ``"auto"`` for the core count, or
         an explicit worker-process count.

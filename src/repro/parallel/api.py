@@ -10,7 +10,8 @@ segment, unshardable strategy, one worker), leaving the caller on the
 serial path; callers therefore never pay pool overhead for jobs that
 cannot amortize it.
 
-Worker engine selection mirrors the serial dispatcher: shards run the
+Worker engine selection is the serial dispatcher's rule
+(:func:`repro.exec.config.resolve_engine`): shards run the
 packed-code fast kernels exactly when the caller's ``engine``/
 ``stats``/``max_fan_in`` combination would have chosen them serially,
 and the instrumented reference executors otherwise.  Reference shards
@@ -27,7 +28,7 @@ import os
 
 from ..core.analysis import ModificationPlan, Strategy
 from ..exec import faults as faults_mod
-from ..exec.config import ExecutionConfig
+from ..exec.config import ExecutionConfig, resolve_engine
 from ..model import SortSpec, Table
 from ..obs import METRICS, TRACER
 from ..ovc.stats import ComparisonStats
@@ -55,13 +56,6 @@ def resolve_workers(workers: int | str | None) -> int:
     if workers < 0:
         raise ValueError(f"workers must be non-negative, got {workers}")
     return max(workers, 1)
-
-
-def _use_fast(engine: str, stats, max_fan_in) -> bool:
-    """The serial dispatcher's engine rule, applied to worker shards."""
-    if engine == "fast":
-        return True
-    return engine == "auto" and stats is None and max_fan_in is None
 
 
 def parallel_modify(
@@ -143,7 +137,9 @@ def parallel_modify(
         output_spec=new_spec,
         plan=plan,
         strategy=strategy,
-        use_fast=_use_fast(engine, stats, max_fan_in),
+        use_fast=resolve_engine(
+            engine, max_fan_in=max_fan_in, counters=stats is not None
+        ) == "fast",
         collect_stats=stats is not None,
         max_fan_in=max_fan_in,
         trace=TRACER.enabled,

@@ -2,20 +2,24 @@
 
 Each requested node runs exactly the machinery an independent
 ``Sort(TableScan(source), spec)`` would have used for its chosen
-parent — passthrough re-coding, ``modify_sort_order``, the tournament
-sort, or the fastpath kernels — so rows and codes are bit-identical to
-per-request execution by construction.  Results derived from a parent
-other than the source are re-tie-broken against the live source's
-arrival order (the same :func:`~repro.cache.dispatch._retiebreak`
-contract the cache dispatcher relies on), which also makes sibling
-derivation safe: within a full-key tie group the codes do not depend
-on which member stands first.
+parent — passthrough re-coding, order modification, or a full sort,
+on the engine :func:`repro.exec.config.resolve_engine` picks (with the
+same auto→reference fallback on keys the packed codec cannot rank) —
+so rows and codes are bit-identical to per-request execution by
+construction.  Results derived from a parent other than the source are
+re-tie-broken against the live source's arrival order (the same
+:func:`~repro.cache.dispatch._retiebreak` contract the cache dispatcher
+relies on), which also makes sibling derivation safe: within a
+full-key tie group the codes do not depend on which member stands
+first.
 
-Counters are per-node deltas describing the work actually performed:
-a node derived straight from the source reports exactly what the solo
-execution would have, a node derived from a cached or sibling order
-reports its (cheaper) modification work — the same accounting the
-cache's modify-from-cache serves already use.
+Counters are collected only where the engine rule picks the reference
+engine (``engine="reference"``); then they are per-node deltas
+describing the work actually performed: a node derived straight from
+the source reports exactly what the solo execution would have, a node
+derived from a cached or sibling order reports its (cheaper)
+modification work — the same accounting the cache's modify-from-cache
+serves already use.
 
 Independent subtrees execute concurrently: nodes whose parents are
 materialized start immediately, each completion releases its children.
@@ -31,12 +35,11 @@ from dataclasses import dataclass, field
 
 from ..cache.dispatch import _names, _retiebreak, install_result
 from ..cache.fingerprint import fingerprint_table
-from ..core.modify import modify_sort_order
+from ..core.modify import modify_with_engine, sort_rows
 from ..exec.config import ExecutionConfig
 from ..model import SortSpec, Table
 from ..obs import LOG, METRICS
 from ..ovc.stats import ComparisonStats
-from ..sorting.internal import tournament_sort
 from .planner import DerivationPlan, plan_batch
 
 
@@ -90,10 +93,12 @@ def execute_plan(
 ) -> dict[int, NodeResult]:
     """Materialize every requested node of ``plan``; see module docs."""
     cfg = config if config is not None else ExecutionConfig.default()
-    modify_cfg = cfg.with_(
-        engine="fast" if cfg.engine == "fast" else "reference"
-    )
     results: dict[int, NodeResult] = {}
+
+    def _modify(table: Table, spec: SortSpec, delta) -> Table:
+        return modify_with_engine(
+            table, spec, "auto", table.ovcs is not None, delta, cfg
+        )[0]
 
     def _install(table: Table, delta, replayable: bool) -> None:
         if cache is not None and fp is not None:
@@ -121,27 +126,14 @@ def execute_plan(
             return NodeResult(node.index, spec, table, "passthrough",
                               delta, fallback)
         if src_spec is not None:
-            result = modify_sort_order(
-                source, spec, method="auto",
-                use_ovc=source.ovcs is not None,
-                stats=delta, config=modify_cfg,
-            )
+            result = _modify(source, spec, delta)
             label = f"modify({_names(src_spec)})"
             _install(result, delta, replayable=True)
             return NodeResult(node.index, spec, result, label,
                               delta, fallback)
-        rows = list(source.rows)
-        if cfg.engine == "fast":
-            from ..fastpath.execute import fast_sort
-
-            sorted_rows, ovcs = fast_sort(
-                rows, spec.positions(source.schema), spec.directions
-            )
-        else:
-            sorted_rows, ovcs = tournament_sort(
-                rows, spec.positions(source.schema), delta,
-                spec.directions, True,
-            )
+        sorted_rows, ovcs, _engine = sort_rows(
+            source.rows, spec, source.schema, delta, cfg
+        )
         table = Table(source.schema, sorted_rows, spec, ovcs)
         _install(table, delta, replayable=True)
         return NodeResult(node.index, spec, table, "full-sort",
@@ -171,11 +163,7 @@ def execute_plan(
             ptable = results[node.parent].table
             label = f"plan-derive({_names(parent.spec)})"
         try:
-            result = modify_sort_order(
-                ptable, spec, method="auto",
-                use_ovc=ptable.ovcs is not None,
-                stats=delta, config=modify_cfg,
-            )
+            result = _modify(ptable, spec, delta)
         except (TypeError, IndexError):
             return _from_source(node, delta, fallback=True)
         rows, ovcs = result.rows, result.ovcs

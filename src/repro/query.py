@@ -92,10 +92,15 @@ class Query:
         """Enforce a sort order, exploiting the input order if related.
 
         ``config`` (an :class:`~repro.exec.ExecutionConfig`) governs
-        execution: ``engine="fast"`` runs the sort through the
-        packed-code kernels (:mod:`repro.fastpath`) — same rows and
-        codes, no comparison counts on the operator's stats;
-        ``workers`` (an int or ``"auto"``) shards segment-parallel
+        execution.  ``engine="auto"`` (the default) follows the one
+        rule of :func:`repro.exec.config.resolve_engine`: the sort runs
+        on the packed-code kernels (:mod:`repro.fastpath`) whenever
+        codes are in use and no fan-in cap is set — same rows and
+        codes as the reference engine, no comparison counts on the
+        operator's stats — and falls back to the reference executors
+        on keys the packed codec cannot rank.  Ask for the counters
+        with ``engine="reference"``; ``engine="fast"`` forces the
+        kernels.  ``workers`` (an int or ``"auto"``) shards segment-parallel
         order modification across processes (:mod:`repro.parallel`)
         with the config's retry/timeout policy — output is
         bit-identical and small or unshardable jobs fall back to serial
@@ -133,6 +138,7 @@ class Query:
         :class:`~repro.model.Table` per target, in request order,
         each bit-identical (rows and codes) to what
         ``.order_by(...)`` would have produced; derivation counters
+        (collected on ``engine="reference"``, as for ``order_by``)
         merge into the plan's stats.
         """
         cfg = resolve_config(config, "Query.order_by_many")

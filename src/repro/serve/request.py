@@ -32,7 +32,8 @@ class OrderResponse:
     label: str | None
     #: The comparison counters of the (shared) execution, replayed
     #: per-waiter: every coalesced response reports the same counts a
-    #: solo execution would have.
+    #: solo execution would have.  Zero unless the service runs
+    #: ``engine="reference"`` (counters are collected on request).
     stats: ComparisonStats
     #: True when this request rode on another request's execution.
     coalesced: bool

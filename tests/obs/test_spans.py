@@ -122,7 +122,10 @@ def test_global_tracer_captures_pipeline_spans():
         schema, SortSpec.of("A", "B", "C"), 256, domains=[4, 5, 6], seed=3
     )
     TRACER.enable(clear=True)
-    modify_sort_order(table, SortSpec.of("A", "C", "B"))
+    modify_sort_order(
+        table, SortSpec.of("A", "C", "B"),
+        config=ExecutionConfig(engine="fast"),
+    )
     names = {r["name"] for r in TRACER.drain()}
     assert "modify" in names
     assert names & {"fastpath.merge", "fastpath.sort"}

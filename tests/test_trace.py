@@ -6,6 +6,7 @@ import pytest
 
 from repro.engine import Filter, GroupBy, MergeJoin, Sort, TableScan
 from repro.engine.operators import Operator
+from repro.exec import ExecutionConfig
 from repro.model import Schema, SortSpec, Table
 from repro.query import Query
 from repro.trace import Probe, explain_analyze, instrument
@@ -118,7 +119,11 @@ def test_probe_reports_inclusive_and_self_time():
 
 def test_probe_self_stats_subtract_children():
     table = make_table()
-    sort = Sort(TableScan(table), SortSpec.of("B", "A"))
+    # Counters are collected on request: pin the reference engine.
+    sort = Sort(
+        TableScan(table), SortSpec.of("B", "A"),
+        config=ExecutionConfig(engine="reference"),
+    )
     root = instrument(sort)
     list(root)
     scan_probe = root.inner._children()[0]
@@ -131,7 +136,12 @@ def test_probe_self_stats_subtract_children():
 
 def test_report_shows_self_time_and_comparison_deltas():
     table = make_table()
-    _rows, report = explain_analyze(Sort(TableScan(table), SortSpec.of("C")))
+    _rows, report = explain_analyze(
+        Sort(
+            TableScan(table), SortSpec.of("C"),
+            config=ExecutionConfig(engine="reference"),
+        )
+    )
     sort_line = next(l for l in report.splitlines() if "Sort" in l)
     assert "(self " in sort_line
     assert "cols=" in sort_line or "codes=" in sort_line
