@@ -8,8 +8,11 @@ on every Table 1 order pair, with bit-identical output.  This module
 measures exactly that and emits a machine-readable record, committed
 as ``BENCH_cache.json`` at the repo root.
 
-Every execution runs on the instrumented reference engine
-(``engine="reference"``), where the claim is made.
+The gated figures run on the instrumented reference engine
+(``engine="reference"``), where the claim is made and the committed
+record was taken.  Each cell is timed on the default engine as well
+(``cold_default_s``, ``modify_default_s``, ``hit_default_s`` and their
+``*_default`` speedups); those are reported, not gated.
 
 Per Table 1 case ``(input order, output order)``:
 
@@ -62,6 +65,8 @@ _DOMAINS = {"A": 32, "B": 64, "C": 256, "D": 8}
 # record was taken.
 _OFF = ExecutionConfig(cache="off", engine="reference")
 _ON = ExecutionConfig(cache="on", engine="reference")
+_DEFAULT_OFF = ExecutionConfig(cache="off")
+_DEFAULT_ON = ExecutionConfig(cache="on")
 
 
 def _run(table: Table, columns: tuple, config: ExecutionConfig):
@@ -72,19 +77,15 @@ def _run(table: Table, columns: tuple, config: ExecutionConfig):
     return time.perf_counter() - start, out, q.op
 
 
-def _cell(case: int, inp: tuple, out_cols: tuple, n_rows: int, seed: int,
-          repeats: int) -> dict:
+def _timings(table: Table, inp: tuple, out_cols: tuple,
+             off: ExecutionConfig, on: ExecutionConfig,
+             repeats: int) -> dict:
+    """Cold, modify-from-cache and exact-hit timings on one engine."""
     from ..cache import configure_cache, reset_cache
-
-    table = random_table(
-        _SCHEMA, n_rows,
-        domains=[_DOMAINS[c] for c in _SCHEMA.columns],
-        seed=seed + case,
-    )
 
     cold_s = math.inf
     for _ in range(repeats):
-        s, cold, _op = _run(table, out_cols, _OFF)
+        s, cold, _op = _run(table, out_cols, off)
         cold_s = min(cold_s, s)
 
     modify_s = math.inf
@@ -92,20 +93,39 @@ def _cell(case: int, inp: tuple, out_cols: tuple, n_rows: int, seed: int,
     cached = None
     for _ in range(repeats):
         configure_cache()  # fresh, unlimited, no TTL
-        _run(table, inp, _ON)  # prime with the input order (untimed)
-        s, cached, op = _run(table, out_cols, _ON)
+        _run(table, inp, on)  # prime with the input order (untimed)
+        s, cached, op = _run(table, out_cols, on)
         modify_s = min(modify_s, s)
         strategy = op.order_strategy
 
     # Exact repeat on the warm cache from the last repeat.
-    hit_s, hit, hit_op = _run(table, out_cols, _ON)
+    hit_s, hit, hit_op = _run(table, out_cols, on)
     reset_cache()
+    return {
+        "cold_s": cold_s, "modify_s": modify_s, "hit_s": hit_s,
+        "strategy": strategy, "hit_strategy": hit_op.order_strategy,
+        "outputs": (cold, cached, hit),
+    }
 
-    fidelity_ok = (
-        cached.rows == cold.rows and cached.ovcs == cold.ovcs
-        and hit.rows == cold.rows and hit.ovcs == cold.ovcs
+
+def _cell(case: int, inp: tuple, out_cols: tuple, n_rows: int, seed: int,
+          repeats: int) -> dict:
+    table = random_table(
+        _SCHEMA, n_rows,
+        domains=[_DOMAINS[c] for c in _SCHEMA.columns],
+        seed=seed + case,
     )
+    ref = _timings(table, inp, out_cols, _OFF, _ON, repeats)
+    fast = _timings(table, inp, out_cols, _DEFAULT_OFF, _DEFAULT_ON, repeats)
+
+    cold = ref["outputs"][0]
+    fidelity_ok = all(
+        out.rows == cold.rows and out.ovcs == cold.ovcs
+        for out in ref["outputs"][1:] + fast["outputs"]
+    )
+    strategy = ref["strategy"]
     served = strategy is not None and strategy.startswith("modify-from-cache")
+    cold_s, modify_s, hit_s = ref["cold_s"], ref["modify_s"], ref["hit_s"]
     return {
         "case": case,
         "from": ",".join(inp),
@@ -116,9 +136,18 @@ def _cell(case: int, inp: tuple, out_cols: tuple, n_rows: int, seed: int,
         "speedup": round(cold_s / max(modify_s, 1e-9), 2),
         "hit_speedup": round(cold_s / max(hit_s, 1e-9), 2),
         "strategy": strategy,
-        "hit_strategy": hit_op.order_strategy,
+        "hit_strategy": ref["hit_strategy"],
         "served_from_cache": served,
         "fidelity_ok": fidelity_ok,
+        "cold_default_s": round(fast["cold_s"], 4),
+        "modify_default_s": round(fast["modify_s"], 4),
+        "hit_default_s": round(fast["hit_s"], 4),
+        "speedup_default": round(
+            fast["cold_s"] / max(fast["modify_s"], 1e-9), 2
+        ),
+        "hit_speedup_default": round(
+            fast["cold_s"] / max(fast["hit_s"], 1e-9), 2
+        ),
     }
 
 
@@ -137,6 +166,7 @@ def run_cache_trajectory(
         "repeats": repeats,
         "python": platform.python_version(),
         "engine": _OFF.engine,
+        "default_engine": _DEFAULT_OFF.engine,
         "fidelity_ok": all(c["fidelity_ok"] for c in cells),
         "cells_served": len(served),
         "min_speedup": min(served) if served else 0.0,

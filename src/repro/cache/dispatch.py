@@ -12,7 +12,10 @@ order, :func:`serve` decides between three outcomes:
   uncached-identical execution — while the actually avoided work is
   published as ``cache.comparisons_saved``.  Entries produced by the
   fast engine (the default) recorded no counters, so their hits
-  replay an empty delta and add nothing to ``cache.comparisons_saved``.
+  replay an empty delta and add nothing to ``cache.comparisons_saved``;
+  a caller that asks for counters (the engine rule picks the reference
+  engine) treats such an entry as a miss and runs cold, re-installing
+  the order with its counters.
 * **Modify from the best cached order** — the requested order is not
   cached, but sibling orders of the same multiset are: each candidate
   is priced with :meth:`repro.core.cost.CostModel.modify_from` (segment
@@ -40,7 +43,7 @@ from dataclasses import dataclass
 
 from ..core.analysis import Strategy, analyze_order_modification
 from ..core.cost import CostModel, counts_to_structure
-from ..exec.config import ExecutionConfig
+from ..exec.config import ExecutionConfig, resolve_engine
 from ..model import SortSpec, Table
 from ..obs import LOG, METRICS, TRACER
 from ..ovc.stats import ComparisonStats
@@ -109,10 +112,16 @@ def serve(
     outcome = ServeOutcome(fp)
 
     hit = cache.lookup(fp, spec)
-    if hit is not None:
-        stats.merge(hit.stats_delta)
+    # A caller asking for counters runs cold rather than replay an
+    # entry that recorded none; the cold run re-installs the order.
+    uncounted = hit is not None and not replays_for(hit, config)
+    if hit is not None and not uncounted:
+        delta = hit.stats_delta
+        if delta is None:
+            delta = ComparisonStats()
+        stats.merge(delta)
         if METRICS.enabled:
-            saved = hit.stats_delta.column_comparisons
+            saved = delta.column_comparisons
             METRICS.counter("cache.comparisons_saved").inc(saved)
             METRICS.histogram("cache.hit_comparisons_saved").observe(saved)
         outcome.table = hit.as_table(source.schema)
@@ -124,7 +133,7 @@ def serve(
             )
         return outcome
 
-    candidates = cache.candidates(fp)
+    candidates = cache.candidates(fp, exclude=spec if uncounted else None)
     if not candidates:
         if LOG.enabled:
             LOG.event(
@@ -233,10 +242,20 @@ def _modify_from(
     if METRICS.enabled:
         METRICS.counter("cache.modify_serves").inc()
     cache.install(
-        fp, spec, result.rows, result.ovcs, stats - before,
+        fp, spec, result.rows, result.ovcs,
+        stats - before if engine == "reference" else None,
         replayable=False, nbytes=chosen.nbytes,
     )
     return result, engine
+
+
+def replays_for(hit: CachedOrder, config: ExecutionConfig) -> bool:
+    """Whether an exact hit can answer a caller on ``config``: always,
+    unless the caller asks for counters (the engine rule picks the
+    reference engine) and the entry recorded none."""
+    return hit.stats_delta is not None or resolve_engine(
+        config.engine, max_fan_in=config.max_fan_in
+    ) != "reference"
 
 
 def install_result(
@@ -244,10 +263,11 @@ def install_result(
     fp: Fingerprint,
     spec: SortSpec,
     table: Table,
-    stats_delta: ComparisonStats,
+    stats_delta: ComparisonStats | None,
     replayable: bool = True,
 ) -> bool:
-    """Register a cold execution's output (must carry codes)."""
+    """Register a cold execution's output (must carry codes);
+    ``stats_delta`` is ``None`` when it collected no counters."""
     if table.ovcs is None:
         return False
     return cache.install(

@@ -58,15 +58,17 @@ class CachedOrder:
     with offset exactly ``k`` (length ``arity + 1``), from which the
     dispatcher derives segment and run counts without rescanning.
     ``stats_delta`` is the comparison work the producing execution
-    spent; ``replayable`` marks entries whose producing execution was
-    identical to what an uncached ``Sort`` would have run, i.e. whose
-    delta can be replayed for exact count parity with ``cache=off``.
+    spent, or ``None`` when that execution collected no counters (the
+    fast engine); ``replayable`` marks entries whose producing
+    execution was identical to what an uncached ``Sort`` would have
+    run, i.e. whose delta can be replayed for exact count parity with
+    ``cache=off``.
     """
 
     spec: SortSpec
     rows: list
     ovcs: list
-    stats_delta: ComparisonStats
+    stats_delta: ComparisonStats | None
     offset_counts: tuple
     tie_free: bool
     sequence: int
@@ -336,11 +338,14 @@ class OrderCache:
         spec: SortSpec,
         rows: list,
         ovcs: list,
-        stats_delta: ComparisonStats,
+        stats_delta: ComparisonStats | None,
         replayable: bool = True,
         nbytes: int | None = None,
     ) -> bool:
         """Insert (or refresh) the sorted output for ``(fp, spec)``.
+
+        ``stats_delta`` is ``None`` when the producing execution
+        collected no comparison counters.
 
         ``nbytes`` is an optional pre-measured size (a result modified
         from a cached entry is a permutation of that entry's rows, so
@@ -369,7 +374,8 @@ class OrderCache:
             if old is not None:
                 self._drop(key, old, "evicted")
             entry = _Entry(
-                fp.source_key, spec, rows, ovcs, stats_delta.snapshot(),
+                fp.source_key, spec, rows, ovcs,
+                None if stats_delta is None else stats_delta.snapshot(),
                 counts, tie_free, fp.sequence, replayable, nbytes, now,
             )
             self._entries[key] = entry

@@ -120,6 +120,47 @@ def modify_sort_order(
     were removed after their deprecation release; passing one raises a
     ``TypeError`` naming the config field to use instead.
     """
+    return _modify_sort_order(
+        table, new_order, method, use_ovc, stats, config, legacy
+    )[0]
+
+
+def modify_with_engine(
+    table: Table,
+    new_spec: SortSpec,
+    method: str,
+    use_ovc: bool,
+    stats: ComparisonStats,
+    cfg: ExecutionConfig,
+) -> tuple[Table, str]:
+    """Order modification for the layers above — ``Sort``, the plan
+    executor, the order cache — plus the engine that ran: ``"fast"``,
+    ``"reference"`` or ``"reference-fallback"``.
+
+    ``stats`` is the layer's own counter set.  It is counted into only
+    when the engine rule picks the reference engine (``engine=
+    "reference"``, no codes, a fan-in cap); a layer's ``auto`` does not
+    ask for counters, so keys the packed codec cannot rank fall back to
+    the reference executors uncounted.
+    """
+    engine = resolve_engine(
+        cfg.engine, use_ovc=use_ovc, max_fan_in=cfg.max_fan_in
+    )
+    return _modify_sort_order(
+        table, new_spec, method, use_ovc,
+        stats if engine == "reference" else None, cfg, {},
+    )
+
+
+def _modify_sort_order(
+    table: Table,
+    new_order: SortSpec | Sequence[str],
+    method: str,
+    use_ovc: bool,
+    stats: ComparisonStats | None,
+    config: ExecutionConfig | None,
+    legacy: dict,
+) -> tuple[Table, str]:
     if method not in _METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {sorted(_METHODS)}")
     cfg = resolve_config(config, "modify_sort_order", **legacy)
@@ -161,46 +202,7 @@ def modify_sort_order(
                 mark, "modify", strategy=strategy, stats=stats,
                 rows=len(table.rows), engine=engine,
             )
-        return result
-
-
-def modify_with_engine(
-    table: Table,
-    new_spec: SortSpec,
-    method: str,
-    use_ovc: bool,
-    stats: ComparisonStats,
-    cfg: ExecutionConfig,
-) -> tuple[Table, str]:
-    """Order modification for the layers above — ``Sort``, the plan
-    executor, the order cache — plus the engine that ran: ``"fast"``,
-    ``"reference"`` or ``"reference-fallback"``.
-
-    ``stats`` is the layer's own counter set.  It is counted into only
-    when the engine rule picks the reference engine (``engine=
-    "reference"``, no codes, a fan-in cap); a layer's ``auto`` does not
-    ask for counters.  Where ``auto`` resolved to the fast engine and
-    the packed codec cannot rank the keys, the modification reruns on
-    the reference executors, uncounted.
-    """
-    engine = resolve_engine(
-        cfg.engine, use_ovc=use_ovc, max_fan_in=cfg.max_fan_in
-    )
-    if engine == "reference":
-        return modify_sort_order(
-            table, new_spec, method, use_ovc, stats, cfg
-        ), engine
-    try:
-        return modify_sort_order(
-            table, new_spec, method, use_ovc, None, cfg.with_(engine="fast")
-        ), engine
-    except TypeError:
-        if cfg.engine == "fast":
-            raise
-    return modify_sort_order(
-        table, new_spec, method, use_ovc, None,
-        cfg.with_(engine="reference"),
-    ), "reference-fallback"
+        return result, engine
 
 
 def _modify(

@@ -38,7 +38,8 @@ deprecation release and now raise ``TypeError``.
 (:mod:`repro.cache`): before sorting, the cache is consulted for this
 exact (source rows, order) pair — a hit serves the cached rows and
 codes verbatim (recorded comparison counters replayed; entries the
-fast engine produced recorded none) — or for a *related* cached order
+fast engine produced recorded none, and a sort on the reference engine
+runs cold instead of hitting them) — or for a *related* cached order
 that the cost model prices cheaper to modify than the uncached
 execution; either way the served output is bit-identical to an
 uncached run.  Every executed sort installs its output for future
@@ -143,7 +144,8 @@ class Sort(Operator):
 
         if cache is not None and self._cache_fp is not None:
             install_result(
-                cache, self._cache_fp, self._spec, result, delta
+                cache, self._cache_fp, self._spec, result,
+                delta if self.engine_ran == "reference" else None,
             )
 
     def _observe(self, mark, before) -> None:
@@ -188,7 +190,7 @@ class Sort(Operator):
         if self._passthrough():
             return super().to_table()
         table = self._execute()
-        if self._config.cache != "off" and table.ovcs is not None:
+        if self._cache_fp is not None and table.ovcs is not None:
             # The lists may be shared with an order-cache entry; hand
             # the caller its own.
             table = Table(

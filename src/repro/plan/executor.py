@@ -33,7 +33,9 @@ import concurrent.futures as cf
 import os
 from dataclasses import dataclass, field
 
-from ..cache.dispatch import _names, _retiebreak, install_result
+from ..cache.dispatch import (
+    _names, _retiebreak, install_result, replays_for,
+)
 from ..cache.fingerprint import fingerprint_table
 from ..core.modify import modify_with_engine, sort_rows
 from ..exec.config import ExecutionConfig
@@ -95,14 +97,15 @@ def execute_plan(
     cfg = config if config is not None else ExecutionConfig.default()
     results: dict[int, NodeResult] = {}
 
-    def _modify(table: Table, spec: SortSpec, delta) -> Table:
+    def _modify(table: Table, spec: SortSpec, delta) -> tuple[Table, str]:
         return modify_with_engine(
             table, spec, "auto", table.ovcs is not None, delta, cfg
-        )[0]
+        )
 
-    def _install(table: Table, delta, replayable: bool) -> None:
+    def _install(table: Table, delta, engine: str, replayable: bool) -> None:
         if cache is not None and fp is not None:
-            install_result(cache, fp, table.sort_spec, table, delta,
+            install_result(cache, fp, table.sort_spec, table,
+                           delta if engine == "reference" else None,
                            replayable=replayable)
 
     def _from_source(node, delta, fallback=False) -> NodeResult:
@@ -126,16 +129,16 @@ def execute_plan(
             return NodeResult(node.index, spec, table, "passthrough",
                               delta, fallback)
         if src_spec is not None:
-            result = _modify(source, spec, delta)
+            result, engine = _modify(source, spec, delta)
             label = f"modify({_names(src_spec)})"
-            _install(result, delta, replayable=True)
+            _install(result, delta, engine, replayable=True)
             return NodeResult(node.index, spec, result, label,
                               delta, fallback)
-        sorted_rows, ovcs, _engine = sort_rows(
+        sorted_rows, ovcs, engine = sort_rows(
             source.rows, spec, source.schema, delta, cfg
         )
         table = Table(source.schema, sorted_rows, spec, ovcs)
-        _install(table, delta, replayable=True)
+        _install(table, delta, engine, replayable=True)
         return NodeResult(node.index, spec, table, "full-sort",
                           delta, fallback)
 
@@ -150,7 +153,10 @@ def execute_plan(
             hit = cache.lookup(fp, spec) if cache is not None else None
             if hit is None:
                 return _from_source(node, delta, fallback=True)
-            delta.merge(hit.stats_delta)
+            if not replays_for(hit, cfg):
+                return _from_source(node, delta)
+            if hit.stats_delta is not None:
+                delta.merge(hit.stats_delta)
             return NodeResult(idx, spec, hit.as_table(source.schema),
                               f"cache-hit({_names(spec)})", delta)
         if parent.kind == "cached":
@@ -163,14 +169,14 @@ def execute_plan(
             ptable = results[node.parent].table
             label = f"plan-derive({_names(parent.spec)})"
         try:
-            result = _modify(ptable, spec, delta)
+            result, engine = _modify(ptable, spec, delta)
         except (TypeError, IndexError):
             return _from_source(node, delta, fallback=True)
         rows, ovcs = result.rows, result.ovcs
         if ovcs is not None:
             rows, ovcs = _retiebreak(rows, ovcs, spec.arity, source.rows)
         table = Table(source.schema, rows, spec, ovcs)
-        _install(table, delta, replayable=False)
+        _install(table, delta, engine, replayable=False)
         return NodeResult(idx, spec, table, label, delta)
 
     workers = (

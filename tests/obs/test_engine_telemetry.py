@@ -69,8 +69,7 @@ def test_slow_query_records_carry_the_engine():
          ).to_table()
     by_kind = {e["kind"]: e for e in SLOWLOG.entries}
     assert by_kind["sort"]["engine"] == "reference-fallback"
-    # The modify record of the rerun that succeeded.
-    assert by_kind["modify"]["engine"] == "reference"
+    assert by_kind["modify"]["engine"] == "reference-fallback"
 
 
 def test_modify_span_carries_requested_and_ran_engine():

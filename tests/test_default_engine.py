@@ -20,6 +20,7 @@ import random
 
 import pytest
 
+from repro.cache import configure_cache, reset_cache
 from repro.core.analysis import Strategy, analyze_order_modification
 from repro.engine.scans import TableScan
 from repro.engine.sort_op import Sort
@@ -217,3 +218,47 @@ def test_none_keys_fall_back_inside_the_plan_executor():
         Query(child).order_by_many(
             orders, config=ExecutionConfig(engine="fast")
         )
+
+
+@pytest.fixture
+def fresh_cache():
+    configure_cache()
+    yield
+    reset_cache()
+
+
+def test_counters_on_request_survive_a_fast_cache_entry(fresh_cache):
+    """An exact hit on an entry the fast engine produced has no counters
+    to replay: a caller asking for them runs cold, and the order is
+    re-installed with its counters for later hits."""
+    source = _unordered(_narrow(400, 8), seed=9)
+    columns = ["A", "C", "B"]
+    default = Query(source).order_by(*columns, config=DEFAULT.with_(cache="on"))
+    default.to_table()
+    assert default.op.order_strategy == "full-sort"
+    assert _zero(default.op.stats)
+
+    cold = Query(source).order_by(*columns, config=REFERENCE)
+    expected = cold.to_table()
+    cached = REFERENCE.with_(cache="on")
+    first = Query(source).order_by(*columns, config=cached)
+    _same(first.to_table(), expected)
+    assert first.op.order_strategy == "full-sort"
+    assert first.op.stats.as_dict() == cold.op.stats.as_dict()
+
+    again = Query(source).order_by(*columns, config=cached)
+    _same(again.to_table(), expected)
+    assert again.op.order_strategy.startswith("cache-hit")
+    assert again.op.stats.as_dict() == cold.op.stats.as_dict()
+
+
+def test_order_by_many_counters_survive_a_fast_cache_entry(fresh_cache):
+    source = _narrow(400, 10)
+    orders = [SortSpec.of("A", "C", "B"), SortSpec.of("B", "C", "D")]
+    Query(source).order_by_many(orders, config=DEFAULT.with_(cache="on"))
+    q = Query(source)
+    tables = q.order_by_many(orders, config=REFERENCE.with_(cache="on"))
+    for table, spec in zip(tables, orders):
+        _same(table, Query(source).order_by(*spec.columns,
+                                            config=REFERENCE).to_table())
+    assert q.op.stats.row_comparisons > 0
