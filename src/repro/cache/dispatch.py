@@ -32,6 +32,10 @@ order, :func:`serve` decides between three outcomes:
 * **Miss** — nothing cached is worth using; the caller executes its
   normal path and registers the output via :func:`install_result`.
 
+Modify-from-cache saves comparisons, real work only on the reference
+engine; :func:`derives_from_relatives` (shared with :mod:`repro.plan`)
+limits it to that engine, so on the fast engine only exact hits serve.
+
 Everything returned to callers is bit-identical — rows *and* codes —
 to what the uncached execution would have produced.
 """
@@ -133,7 +137,9 @@ def serve(
             )
         return outcome
 
-    candidates = cache.candidates(fp, exclude=spec if uncounted else None)
+    candidates = cache.candidates(
+        fp, exclude=spec if uncounted else None
+    ) if derives_from_relatives(config) else []
     if not candidates:
         if LOG.enabled:
             LOG.event(
@@ -176,9 +182,7 @@ def serve(
             )
         return outcome
 
-    result, outcome.engine = _modify_from(
-        cache, fp, source, chosen, spec, stats, config
-    )
+    result = _modify_from(cache, fp, source, chosen, spec, stats, config)
     if result is None:
         if LOG.enabled:
             LOG.event(
@@ -188,6 +192,7 @@ def serve(
             )
         return outcome
     outcome.table = result
+    outcome.engine = "reference"
     outcome.label = f"modify-from-cache({_names(best.spec)})"
     if LOG.enabled:
         LOG.event(
@@ -206,11 +211,10 @@ def _modify_from(
     spec: SortSpec,
     stats: ComparisonStats,
     config: ExecutionConfig,
-) -> tuple[Table | None, str | None]:
-    """Produce ``spec`` from a cached sibling order, plus the engine
-    that ran; ``(None, None)`` on failure (counters rolled back, caller
-    falls through to cold execution).  Counters are collected only when
-    the engine rule picks the reference engine."""
+) -> Table | None:
+    """Produce ``spec`` from a cached sibling order on the reference
+    engine, counting into ``stats``; ``None`` on failure (counters
+    rolled back, caller falls through to cold execution)."""
     from ..core.modify import modify_with_engine
 
     before = stats.snapshot()
@@ -221,7 +225,7 @@ def _modify_from(
             source=_names(chosen.spec),
             target=_names(spec),
         ):
-            result, engine = modify_with_engine(
+            result, _engine = modify_with_engine(
                 chosen.as_table(source.schema), spec, "auto", True,
                 stats, config,
             )
@@ -230,23 +234,29 @@ def _modify_from(
             )
             result = Table(source.schema, rows, spec, ovcs)
     except (TypeError, IndexError):
-        # TypeError: a forced fast engine met unpackable keys, or the
-        # reference executors met keys they cannot compare.
+        # TypeError: the reference executors met keys they cannot
+        # compare.
         # IndexError: the tie-break found a row missing from the live
         # source — a fingerprint collision delivered foreign data.
         # Either way the cold path is the answer; undo the partial
         # counter damage.
         stats.reset()
         stats.merge(before)
-        return None, None
+        return None
     if METRICS.enabled:
         METRICS.counter("cache.modify_serves").inc()
     cache.install(
-        fp, spec, result.rows, result.ovcs,
-        stats - before if engine == "reference" else None,
-        replayable=False, nbytes=chosen.nbytes,
+        fp, spec, result.rows, result.ovcs, stats - before, replayable=False
     )
-    return result, engine
+    return result
+
+
+def derives_from_relatives(config: ExecutionConfig) -> bool:
+    """Whether an order may derive from a cached relative or a batch
+    sibling: only where the engine rule picks the reference engine."""
+    return resolve_engine(
+        config.engine, max_fan_in=config.max_fan_in
+    ) == "reference"
 
 
 def replays_for(hit: CachedOrder, config: ExecutionConfig) -> bool:

@@ -73,8 +73,7 @@ class CachedOrder:
     tie_free: bool
     sequence: int
     replayable: bool
-    #: Accounted size — reusable as the install hint for any result
-    #: whose rows are a permutation of this entry's.
+    #: Accounted size; the same for every order of one row multiset.
     nbytes: int
 
     def as_table(self, schema: Schema) -> Table:
@@ -340,21 +339,22 @@ class OrderCache:
         ovcs: list,
         stats_delta: ComparisonStats | None,
         replayable: bool = True,
-        nbytes: int | None = None,
     ) -> bool:
         """Insert (or refresh) the sorted output for ``(fp, spec)``.
 
         ``stats_delta`` is ``None`` when the producing execution
         collected no comparison counters.
 
-        ``nbytes`` is an optional pre-measured size (a result modified
-        from a cached entry is a permutation of that entry's rows, so
-        its accounted size carries over without an O(n) re-measure).
-        Returns False when the entry cannot be admitted (codes missing,
-        or it alone exceeds the whole budget).
+        Every order of one row multiset has the same accounted size, so
+        only a source's first order is measured.  Returns False when
+        the entry cannot be admitted (codes missing, or it alone
+        exceeds the whole budget).
         """
         if ovcs is None:
             return False
+        with self._lock:
+            nbytes = next((e.nbytes for (src, _), e in self._entries.items()
+                           if src == fp.source_key), None)
         if nbytes is None:
             nbytes = rows_nbytes(rows, ovcs)
         budget = self.accountant.budget

@@ -5,8 +5,9 @@ this package applies that result across a whole batch: given N target
 orders over one source, it builds a minimum-cost derivation tree
 (minimum spanning arborescence over cost-model edge weights, rooted at
 whatever is already materialized — the source and any cache-resident
-orders) and executes it, deriving each order from its cheapest parent
-instead of from the source N times.  Entry points:
+orders) and executes it serially, deriving each order from its
+cheapest parent (a sibling or cached relative only on the reference
+engine) instead of from the source N times.  Entry points:
 
 * :func:`derive_batch` — plan + execute in one call (what
   ``Query.order_by_many`` and the serving layer's micro-batching use);

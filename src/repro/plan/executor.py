@@ -21,16 +21,14 @@ derived from a cached or sibling order reports its (cheaper)
 modification work — the same accounting the cache's modify-from-cache
 serves already use.
 
-Independent subtrees execute concurrently: nodes whose parents are
-materialized start immediately, each completion releases its children.
-A mispredicted parent (evicted cache entry, kernel type error) falls
-back to deriving from the source, never failing the batch.
+Nodes run serially, parents first (pure-Python kernels never overlap
+under the GIL).  A mispredicted parent (evicted cache entry, kernel
+type error) falls back to deriving from the source, never failing the
+batch.
 """
 
 from __future__ import annotations
 
-import concurrent.futures as cf
-import os
 from dataclasses import dataclass, field
 
 from ..cache.dispatch import (
@@ -91,7 +89,6 @@ def execute_plan(
     cache=None,
     fp=None,
     config: ExecutionConfig | None = None,
-    max_concurrency: int | None = None,
 ) -> dict[int, NodeResult]:
     """Materialize every requested node of ``plan``; see module docs."""
     cfg = config if config is not None else ExecutionConfig.default()
@@ -179,33 +176,8 @@ def execute_plan(
         _install(table, delta, engine, replayable=False)
         return NodeResult(idx, spec, table, label, delta)
 
-    workers = (
-        max_concurrency
-        if max_concurrency is not None
-        else min(4, os.cpu_count() or 1)
-    )
-    if workers <= 1 or len(plan.order) <= 1:
-        for idx in plan.order:
-            results[idx] = _run(idx)
-        return results
-
-    children: dict[int, list[int]] = {}
-    ready: list[int] = []
     for idx in plan.order:
-        parent = plan.nodes[idx].parent
-        if plan.nodes[parent].requested:
-            children.setdefault(parent, []).append(idx)
-        else:
-            ready.append(idx)
-    with cf.ThreadPoolExecutor(max_workers=workers) as pool:
-        pending = {pool.submit(_run, idx): idx for idx in ready}
-        while pending:
-            done, _ = cf.wait(pending, return_when=cf.FIRST_COMPLETED)
-            for fut in done:
-                idx = pending.pop(fut)
-                results[idx] = fut.result()
-                for child in children.get(idx, ()):  # parents release kids
-                    pending[pool.submit(_run, child)] = child
+        results[idx] = _run(idx)
     return results
 
 
@@ -214,14 +186,15 @@ def derive_batch(
     orders,
     *,
     config: ExecutionConfig | None = None,
-    max_concurrency: int | None = None,
 ) -> BatchResult:
     """Plan and execute a batch of target orders over ``source``.
 
     ``orders`` accepts the same shapes as ``Query.order_by`` targets:
     :class:`SortSpec`, a column-name string, or an iterable of columns.
-    Returns a :class:`BatchResult`; per-order tables come back in
-    request order from :meth:`BatchResult.tables`.
+    Siblings and cached relatives are parents only on the reference
+    engine; the plan runs serially.  Returns a :class:`BatchResult`;
+    per-order tables come back in request order from
+    :meth:`BatchResult.tables`.
     """
     cfg = config if config is not None else ExecutionConfig.default()
     specs = [_coerce(o) for o in orders]
@@ -254,10 +227,7 @@ def derive_batch(
             est_planned=round(plan.est_planned),
             est_speedup=round(min(plan.est_speedup, 1e6), 3),
         )
-    results = execute_plan(
-        plan, source, cache=cache, fp=fp, config=cfg,
-        max_concurrency=max_concurrency,
-    )
+    results = execute_plan(plan, source, cache=cache, fp=fp, config=cfg)
     result.plan = plan
     result.results = results
     for node_result in results.values():

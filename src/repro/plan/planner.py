@@ -10,6 +10,10 @@ sort), and the optimal assignment is the minimum spanning arborescence
 rooted at a virtual node with zero-cost edges to everything already
 materialized.
 
+Sibling and cached-relative edges exist only on the reference engine
+(:func:`repro.cache.dispatch.derives_from_relatives`); on the fast
+engine the parents are the source and an exact cache hit.
+
 Edge pricing mirrors the cache dispatcher: exact offset-count
 histograms when the parent is materialized with codes, the sampled
 :class:`~repro.plan.cardinality.CardinalityEstimator` when the parent
@@ -25,8 +29,9 @@ from dataclasses import dataclass, field
 
 from ..core.analysis import Strategy, analyze_order_modification
 from ..core.cost import CostModel, counts_to_structure
-from ..cache.dispatch import WIN_MARGIN, _names
+from ..cache.dispatch import WIN_MARGIN, _names, derives_from_relatives
 from ..cache.store import _offset_counts
+from ..exec.config import ExecutionConfig
 from ..model import SortSpec, Table
 from .arborescence import minimum_arborescence
 from .cardinality import CardinalityEstimator
@@ -146,6 +151,7 @@ def plan_batch(
     """
     n = len(source.rows)
     deduped = list(dict.fromkeys(specs))
+    relatives = derives_from_relatives(config or ExecutionConfig.default())
 
     nodes = [PlanNode(0, source.sort_spec, "source", False)]
     offset_counts: dict[int, tuple | None] = {0: None}
@@ -154,6 +160,8 @@ def plan_batch(
     if cache is not None and fingerprint is not None:
         for cand in cache.candidates(fingerprint):
             if source.sort_spec is not None and cand.spec == source.sort_spec:
+                continue
+            if not relatives and cand.spec not in deduped:
                 continue
             idx = len(nodes)
             nodes.append(PlanNode(idx, cand.spec, "cached", False))
@@ -206,7 +214,8 @@ def plan_batch(
         v = node.index
         for parent in nodes:
             u = parent.index
-            if u == v:
+            if u == v or not (relatives or u == 0
+                              or parent.spec == node.spec):
                 continue
             w = _pair_cost(u, node.spec)
             true_cost[(u, v)] = w

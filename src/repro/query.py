@@ -123,7 +123,6 @@ class Query:
         orders: Sequence,
         *,
         config: "ExecutionConfig | None" = None,
-        max_concurrency: int | None = None,
     ) -> list[Table]:
         """Materialize several sort orders of this query at once.
 
@@ -131,10 +130,10 @@ class Query:
         :class:`~repro.model.SortSpec`, a column-name string, or an
         iterable of columns).  This is a *terminal*: the plan runs
         once, and the batch derivation planner (:mod:`repro.plan`)
-        derives each order from its cheapest parent — the
-        materialized result, a cache-resident order when
-        ``config.cache`` is on, or one of the other requested orders
-        — instead of sorting from scratch N times.  Returns one
+        derives each order serially from its cheapest parent — the
+        materialized result, an exact cache hit, or (on the reference
+        engine only) a cached relative or another requested order —
+        instead of sorting from scratch N times.  Returns one
         :class:`~repro.model.Table` per target, in request order,
         each bit-identical (rows and codes) to what
         ``.order_by(...)`` would have produced; derivation counters
@@ -150,9 +149,7 @@ class Query:
             if not list(orders):
                 self._observe(mark, "query.order_by_many", len(source.rows))
                 return []
-            result = derive_batch(
-                source, orders, config=cfg, max_concurrency=max_concurrency
-            )
+            result = derive_batch(source, orders, config=cfg)
             self._op.stats.merge(result.stats)
             if LOG.enabled:
                 LOG.event(

@@ -18,6 +18,8 @@ from repro.sorting.internal import tournament_sort
 
 SCHEMA = Schema.of("A", "B", "C")
 CFG = ExecutionConfig()
+#: Modify-from-cache serves run only on the reference engine.
+REFERENCE = ExecutionConfig(engine="reference")
 
 
 def _source(n=300, domains=(5, 4, 3), seed=0) -> Table:
@@ -79,7 +81,7 @@ def test_modify_from_cached_sibling_bit_identical():
     want = SortSpec.of("A", "C", "B")
     cold_rows, cold_ovcs, _ = _cold_sort(source, want)
     outcome = serve(
-        cache, source, want, stats=ComparisonStats(), config=CFG
+        cache, source, want, stats=ComparisonStats(), config=REFERENCE
     )
     assert outcome.table is not None
     assert outcome.label == "modify-from-cache(A,B,C)"
@@ -112,7 +114,7 @@ def test_modify_reties_against_live_sequence():
     want = SortSpec.of("A", "C", "B")
     cold_rows, cold_ovcs, _ = _cold_sort(source, want)
     outcome = serve(
-        cache, source, want, stats=ComparisonStats(), config=CFG
+        cache, source, want, stats=ComparisonStats(), config=REFERENCE
     )
     assert outcome.table is not None
     assert outcome.label == "modify-from-cache(A,B,C)"

@@ -17,6 +17,9 @@ ORDERS = [("A", "B", "C"), ("A", "C", "B"), ("B", "A", "C")]
 
 OFF = ExecutionConfig(cache="off")
 ON = ExecutionConfig(cache="on")
+#: Modify-from-cache serves run only on the reference engine.
+REF_OFF = OFF.with_(engine="reference")
+REF_ON = ON.with_(engine="reference")
 
 
 def _table(n=400, seed=7) -> Table:
@@ -40,17 +43,17 @@ def test_acceptance_three_orders_twice():
     with cache=on every second-round order is served from the cache,
     bit-identical to cache=off."""
     table = _table()
-    cold = {o: _run(table, o, OFF)[0] for o in ORDERS}
+    cold = {o: _run(table, o, REF_OFF)[0] for o in ORDERS}
 
     round1 = {}
     for o in ORDERS:
-        out, op = _run(table, o, ON)
+        out, op = _run(table, o, REF_ON)
         round1[o] = (out, op.order_strategy, op.stats.snapshot())
         assert out.rows == cold[o].rows
         assert out.ovcs == cold[o].ovcs
 
     for o in ORDERS:
-        out, op = _run(table, o, ON)
+        out, op = _run(table, o, REF_ON)
         assert op.executed == "cache"
         assert op.order_strategy.startswith("cache-hit(")
         assert out.rows == cold[o].rows
@@ -82,15 +85,15 @@ def test_first_order_counters_match_uncached_exactly():
 
 def test_explain_shows_order_strategy():
     table = _table()
-    q1 = Query(table).order_by(*ORDERS[0], config=ON)
+    q1 = Query(table).order_by(*ORDERS[0], config=REF_ON)
     q1.to_table()
     assert "[strategy: full-sort]" in q1.explain()
 
-    q2 = Query(table).order_by(*ORDERS[1], config=ON)
+    q2 = Query(table).order_by(*ORDERS[1], config=REF_ON)
     q2.to_table()
     assert "[strategy: modify-from-cache(A,B,C)]" in q2.explain()
 
-    q3 = Query(table).order_by(*ORDERS[1], config=ON)
+    q3 = Query(table).order_by(*ORDERS[1], config=REF_ON)
     q3.to_table()
     assert "[strategy: cache-hit(A,C,B)]" in q3.explain()
 
@@ -174,3 +177,22 @@ def test_forced_method_and_no_ovc_bypass_cache():
     q = Query(table).order_by(*ORDERS[0], method="full_sort", config=ON)
     q.to_table()
     assert q.op.executed != "cache"
+
+
+def test_fast_engine_sort_runs_cold_beside_cached_sibling():
+    """On the fast engine a cached sibling order is not a parent: the
+    request sorts cold, bit-identical to an uncached run; the reference
+    engine still modifies the cached order."""
+    table = _table(seed=3)
+    auto_on = ON.with_(engine="auto")
+    _run(table, ORDERS[0], auto_on)  # cache the sibling A,B,C
+
+    out, op = _run(table, ORDERS[1], auto_on)
+    assert op.order_strategy == "full-sort"
+    assert op.executed == "internal_sort"
+    solo = _run(table, ORDERS[1], OFF.with_(engine="auto"))[0]
+    assert out.rows == solo.rows
+    assert out.ovcs == solo.ovcs
+
+    _ref_out, ref_op = _run(table, ORDERS[2], REF_ON)
+    assert ref_op.order_strategy == "modify-from-cache(A,B,C)"

@@ -218,3 +218,55 @@ def test_validation():
         OrderCache(ttl=0)
     with pytest.raises(ValueError):
         OrderCache(max_entries=0)
+
+
+def test_every_order_of_a_source_is_sized_once(monkeypatch):
+    """All orders of one row multiset share one accounted size, so only
+    a source's first install measures its rows."""
+    import random
+
+    from repro.cache import configure_cache, fingerprint_table
+    from repro.cache import store
+    from repro.exec import ExecutionConfig
+    from repro.exec.memory import rows_nbytes
+    from repro.model import Schema, Table
+    from repro.query import Query
+
+    measured = []
+
+    def counting(rows, ovcs=None):
+        measured.append(len(rows))
+        return rows_nbytes(rows, ovcs)
+
+    monkeypatch.setattr(store, "rows_nbytes", counting)
+    rng = random.Random(5)
+    ints = Table(
+        Schema.of("A", "B", "C"),
+        [(rng.randrange(4), rng.randrange(5), rng.randrange(30))
+         for _ in range(200)],
+    )
+    words = Table(
+        Schema.of("name", "blob", "n"),
+        [(rng.choice(["ab", "b", "", "zzz", "ünï"]),
+          bytes(rng.randrange(256) for _ in range(rng.randrange(4))),
+          rng.randrange(3))
+         for _ in range(200)],
+    )
+    cache = configure_cache()
+    cfg = ExecutionConfig(cache="on", engine="auto")
+    for table in (ints, words):
+        cols = table.schema.columns
+        for order in (cols, cols[::-1], (cols[1], cols[0], cols[2])):
+            Query(table).order_by(*order, config=cfg).to_table()
+
+    assert measured == [200, 200]  # one measurement per source
+    for table in (ints, words):
+        entries = cache.candidates(fingerprint_table(table))
+        assert len(entries) == 3
+        for entry in entries:
+            assert entry.nbytes == rows_nbytes(entry.rows, entry.ovcs)
+    assert cache.bytes_resident == sum(
+        e.nbytes
+        for t in (ints, words)
+        for e in cache.candidates(fingerprint_table(t))
+    )

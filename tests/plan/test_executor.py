@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cache import configure_cache, fingerprint_table, get_cache
+from repro.cache import (
+    configure_cache, fingerprint_table, get_cache, reset_cache,
+)
 from repro.engine import Sort, TableScan
 from repro.exec import ExecutionConfig
 from repro.model import Schema, SortSpec
@@ -32,8 +34,8 @@ def _sorted_source(n_rows=700, seed=0):
     ).to_table()
 
 
-def _solo(source, spec):
-    op = Sort(TableScan(source), spec, config=CFG)
+def _solo(source, spec, config=CFG):
+    op = Sort(TableScan(source), spec, config=config)
     return op.to_table(), op.stats
 
 
@@ -78,19 +80,6 @@ def test_unordered_source_full_sorts_once_then_derives():
         assert node.table.ovcs == ref_table.ovcs
 
 
-def test_concurrency_matches_serial():
-    source = _sorted_source(900, seed=2)
-    serial = derive_batch(source, ORDERS, config=CFG, max_concurrency=1)
-    threaded = derive_batch(source, ORDERS, config=CFG, max_concurrency=4)
-    for spec in ORDERS:
-        a, b = serial.result_for(spec), threaded.result_for(spec)
-        assert a.table.rows == b.table.rows
-        assert a.table.ovcs == b.table.ovcs
-        assert a.stats_delta.as_dict() == b.stats_delta.as_dict()
-        assert a.label == b.label
-    assert serial.stats.as_dict() == threaded.stats.as_dict()
-
-
 def test_empty_batch():
     source = _sorted_source(100)
     result = derive_batch(source, [], config=CFG)
@@ -113,7 +102,8 @@ def test_derive_batch_installs_into_cache():
 
 
 def test_evicted_parent_falls_back_to_source():
-    cfg = ExecutionConfig(cache="on")
+    # Modify-from-cache parents exist only on the reference engine.
+    cfg = ExecutionConfig(cache="on", engine="reference")
     configure_cache(budget=1 << 22)
     cache = get_cache()
     source = _sorted_source(400)
@@ -123,7 +113,9 @@ def test_evicted_parent_falls_back_to_source():
     assert cache.lookup(fp, cached_spec) is not None
 
     target = SortSpec.of("C", "D", "B", "A")
-    plan = plan_batch(source, [target], cache=cache, fingerprint=fp)
+    plan = plan_batch(
+        source, [target], cache=cache, fingerprint=fp, config=cfg
+    )
     (node,) = [n for n in plan.nodes if n.requested]
     assert plan.nodes[node.parent].kind == "cached"
 
@@ -132,7 +124,7 @@ def test_evicted_parent_falls_back_to_source():
     results = execute_plan(plan, source, cache=cache, fp=fp, config=cfg)
     got = results[plan.spec_nodes[target]]
     assert got.fallback
-    ref_table, ref_stats = _solo(source, target)
+    ref_table, ref_stats = _solo(source, target, CFG.with_(engine="reference"))
     assert got.table.rows == ref_table.rows
     assert got.table.ovcs == ref_table.ovcs
     assert got.stats_delta.as_dict() == ref_stats.as_dict()
@@ -176,3 +168,50 @@ def test_order_by_many_merges_stats():
         config=CFG.with_(engine="reference"),
     )
     assert q.op.stats.row_comparisons > 0
+
+
+def test_fast_engine_batch_derives_from_source_or_exact_hit():
+    """On the fast engine a batch's parents are the source and exact
+    cache hits: no sibling edges, no modify-from-cache, and outputs
+    identical to solo runs.  The reference engine still uses both."""
+    auto = ExecutionConfig(cache="on", engine="auto")
+    reference = auto.with_(engine="reference")
+    source = _sorted_source(600, seed=4)
+    specs = [
+        SortSpec.of("C", "D", "B", "A"),
+        SortSpec.of("B", "C", "D", "A"),
+        SortSpec.of("C", "D", "A", "B"),
+        SortSpec.of("D", "A", "B", "C"),
+    ]
+
+    def cache_sibling():
+        reset_cache()
+        configure_cache(budget=1 << 22)
+        Sort(TableScan(source), SortSpec.of("C", "D", "A", "B"),
+             config=reference).to_table()
+
+    cache_sibling()
+    ref = derive_batch(source, specs, config=reference)
+    ref_labels = [ref.result_for(s).label for s in specs]
+    assert ref.plan.sibling_edges() >= 1 or any(
+        label.startswith("modify-from-cache") for label in ref_labels
+    ), ref_labels
+
+    cache_sibling()
+    METRICS.enable(clear=True)
+    tables = Query(source).order_by_many(specs, config=auto)
+    assert METRICS.as_dict()["counters"]["plan.sibling_derivations"] == 0
+    cache_sibling()
+    result = derive_batch(source, specs, config=auto)
+    assert result.plan.sibling_edges() == 0
+    labels = [result.result_for(s).label for s in specs]
+    assert not any(
+        label.startswith(("modify-from-cache", "plan-derive"))
+        for label in labels
+    ), labels
+    assert labels[2] == "cache-hit(C,D,A,B)"
+    for spec, table in zip(specs, tables):
+        solo, _ = _solo(source, spec, auto.with_(cache="off"))
+        assert table.rows == solo.rows
+        assert table.ovcs == solo.ovcs
+        assert result.result_for(spec).table.rows == solo.rows

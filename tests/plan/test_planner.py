@@ -20,6 +20,8 @@ from repro.workloads.generators import random_table
 SCHEMA = Schema.of("A", "B", "C", "D")
 DOMAINS = [8, 12, 30, 4]
 CFG = ExecutionConfig(cache="off")
+#: Sibling and cached-relative parents exist only on the reference engine.
+REFERENCE = ExecutionConfig(cache="off", engine="reference")
 
 
 def _sorted_source(n_rows=600, seed=0, spec=None):
@@ -39,7 +41,7 @@ def test_rotation_chain_uses_sibling_edges():
         SortSpec.of("C", "D", "A", "B"),
         SortSpec.of("D", "A", "B", "C"),
     ]
-    plan = plan_batch(source, specs)
+    plan = plan_batch(source, specs, config=REFERENCE)
     assert [n.spec for n in _requested(plan)] == specs
     assert plan.sibling_edges() >= 1
     assert plan.est_planned < plan.est_independent
@@ -70,7 +72,7 @@ def test_source_order_is_passthrough_with_zero_cost():
 def test_unordered_source_prices_full_sort_root():
     table = random_table(SCHEMA, 400, domains=DOMAINS, seed=3)
     specs = [SortSpec.of("A", "B"), SortSpec.of("B", "A")]
-    plan = plan_batch(table, specs)
+    plan = plan_batch(table, specs, config=REFERENCE)
     roots = [
         n for n in _requested(plan) if not plan.nodes[n.parent].requested
     ]
@@ -111,7 +113,9 @@ def test_cached_relative_priced_with_exact_counts():
     # C,D,B,A shares a 2-column prefix with the cached order but none
     # with the source — the cached parent must win despite WIN_MARGIN.
     target = SortSpec.of("C", "D", "B", "A")
-    plan = plan_batch(source, [target], cache=cache, fingerprint=fp)
+    plan = plan_batch(
+        source, [target], cache=cache, fingerprint=fp, config=REFERENCE
+    )
     (node,) = _requested(plan)
     assert plan.nodes[node.parent].kind == "cached"
     assert node.strategy == "modify-from-cache"
